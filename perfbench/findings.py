@@ -22,6 +22,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
 
+from pace import Pacer  # noqa: E402
 from run import set_up  # noqa: E402
 from workloads import ZipfFleet  # noqa: E402
 
@@ -64,7 +65,8 @@ def main() -> int:
     args = parser.parse_args()
 
     workload = ZipfFleet(args.seed)
-    fleet, _, _ = set_up(workload)
+    with Pacer() as pacer:
+        fleet, _, _ = set_up(workload, pacer)
     try:
         patterns = [workload.pool[item] for item in workload.stream[:REQUESTS]]
         batch = per_request_cost(lambda pattern: fleet.evaluate_many([pattern]), patterns)

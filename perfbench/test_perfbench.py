@@ -22,10 +22,11 @@ sys.path.insert(0, str(HERE))
 import run as bench  # noqa: E402
 import stats  # noqa: E402
 from tracing import Span, SpanRecorder, installed, self_time  # noqa: E402
-from workloads import ChurnYago2, ColdUnique, Op, WORKLOADS, check  # noqa: E402
+from pace import REFERENCE_S, Pacer  # noqa: E402
+from workloads import ChurnYago2, ColdUnique, Ledger, WORKLOADS, check  # noqa: E402
 
 from repro.matching import QMatch  # noqa: E402
-from repro.utils.errors import Overloaded, ReproError  # noqa: E402
+from repro.utils.errors import Overloaded  # noqa: E402
 
 
 # ------------------------------------------------------------------ stats
@@ -165,36 +166,71 @@ def test_refusals_count_into_error_rate(few_samples, capsys):
     assert f"error_rate = {2 / result['attempted']:.4f}" in output
 
 
+def _refused(failure):
+    def call():
+        raise failure
+    return call
+
+
 def test_untyped_exception_is_not_a_refusal():
+    ledger = Ledger(4)
+    ledger.call(0, _refused(Overloaded("x")))
+    ledger.call(1, lambda: None, delta="a delta")
+    assert bench.refusals(ledger) == 1
     with pytest.raises(KeyError):
-        bench.refusals([Op("query", failure=Overloaded("x")), Op("query", failure=KeyError("x"))])
-    assert bench.refusals([Op("query", failure=Overloaded("x")), Op("query")]) == 1
+        ledger.call(2, _refused(KeyError("x")))
+
+
+def test_ledger_reserves_its_records_and_keeps_each_answer_once():
+    ledger = Ledger(2)
+    shared = frozenset({"a", "b"})
+    hit = type("Result", (), {"answer": shared})()
+    for item in range(5):  # grows past its capacity
+        ledger.call(item % 2, lambda: hit)
+    ledger.call(-1, lambda: None, delta="a delta")
+    assert len(ledger) == 6 and len(ledger.items) >= 6
+    assert ledger.answers == [shared]
+    assert ledger.query_answers() == [shared] * 5
+    assert ledger.is_update(5) and ledger.answer(5) is None
+    assert list(ledger.items[:6]) == [0, 1, 0, 1, 0, -1]
+
+
+def test_memory_is_read_after_a_fixed_count_of_operations():
+    slices = [bench.Slice(0, 40, 1.0, 1.0, 50.0), bench.Slice(40, 120, 1.0, 1.0, 60.0),
+              bench.Slice(120, 400, 1.0, 1.0, 70.0)]
+    assert bench.memory_mb(ColdUnique, slices) == 60.0  # memory_ops = 100
+
+
+def test_pacer_scales_by_the_speed_around_each_step():
+    with Pacer() as pacer:
+        assert 0 < pacer.sample() < 1.0
+        samples = iter([2 * REFERENCE_S, 4 * REFERENCE_S])
+        pacer.sample = lambda: next(samples)
+        pacer.begin()
+        assert pacer.scale() == pytest.approx(1 / 3)
+    assert pacer._child.poll() is not None
 
 
 def test_oracle_replays_only_the_deltas_the_service_accepted():
     workload = ChurnYago2(5, scale=0.3)
     door = workload.open(workload.graph.copy())
+    ledger = Ledger(8)
     skipped = None
-    ops = []
-    for planned in workload.stream[:60]:
-        op = Op(planned.kind, item=planned.item, delta=planned.delta)
-        if op.kind == "query":
-            op.answer = door.evaluate(workload.pool[op.item]).answer
+    for item, delta in workload.stream[:60]:
+        if delta is None:
+            ledger.call(item, lambda: door.evaluate(workload.pool[item]))
         elif skipped is None:
-            skipped = op.failure = Overloaded("pretend the service refused it")
-        else:
-            try:
-                door.apply_delta(op.delta)
-            except ReproError as refusal:  # it may depend on the skipped delta
-                op.failure = refusal
-        ops.append(op)
+            skipped = Overloaded("pretend the service refused it")
+            ledger.call(item, _refused(skipped), delta)
+        else:  # it may depend on the skipped delta, and be refused
+            ledger.call(item, lambda: door.apply_delta(delta), delta)
     door.close()
     assert skipped is not None
-    assert sum(1 for op in ops if op.kind == "update" and op.failure is None) > 0
-    assert check(workload, ops) == []
-    wrong = next(op for op in reversed(ops) if op.kind == "query")
-    wrong.answer = wrong.answer | {"no-such-node"}
-    assert len(check(workload, ops)) == 1
+    assert sum(1 for position in ledger.served() if ledger.is_update(position)) > 0
+    assert check(workload, ledger) == []
+    last_query = max(position for position in ledger.served() if not ledger.is_update(position))
+    ledger.close(last_query, 0.0, answer=ledger.answer(last_query) | {"no-such-node"})
+    assert len(check(workload, ledger)) == 1
 
 
 # ------------------------------------------------------------ traced run
@@ -211,6 +247,15 @@ def test_traced_run_repeats_its_counts(monkeypatch, tmp_path, capsys):
     assert result["metrics"]["matching.work"]["value"] > 0
     spans = json.loads((tmp_path / "spans-churn-yago2-seed2.json").read_text())
     assert {"id", "name", "start", "end", "parent", "request"} <= set(spans[0])
+    # a second traced run of the same program at the same seed must count
+    # the same work as the first
+    [recorded] = tmp_path.glob("counts-churn-yago2-seed2-*.json")
+    assert bench.execute(workload, 0.01, traced=True) == 0
+    counts = json.loads(recorded.read_text())
+    counts["matching.work"] += 1
+    recorded.write_text(json.dumps(counts))
+    assert bench.execute(workload, 0.01, traced=True) == 1
+    assert "matching.work differs from an earlier traced run" in capsys.readouterr().out
 
 
 # ------------------------------------------------------ BENCHMARK.json

@@ -17,15 +17,15 @@ on the same graph state once the timed window is over.
 * ``churn-yago2``: the only workload that writes: a replay of
   ``update_workload`` on YAGO2, a quarter of it edge-churn deltas.
 
-Refusals (``ReproError`` and its subclasses ``ServiceError`` and
-``Overloaded``) are recorded on the operation and count as failed; any other
-exception ends the run.
+Every operation is recorded in a :class:`Ledger`.  Refusals (``ReproError``
+and its subclasses ``ServiceError`` and ``Overloaded``) are recorded there
+and count as failed; any other exception ends the run.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from array import array
 from functools import partial
 from itertools import zip_longest
 from time import perf_counter
@@ -59,22 +59,81 @@ SMALL_GRID = ((3, 3, 0), (4, 4, 0), (4, 4, 1), (4, 5, 0))
 HOT_SET_SEED = 0
 
 
-@dataclass(slots=True)
-class Op:
-    """One operation sent to the front door, and what came back."""
+class Ledger:
+    """Every operation sent to one front door, in order, and what came back.
 
-    kind: str  # "query" or "update"
-    item: int = 0  # index of the query's pattern in the workload's pool
-    delta: object = None
-    latency: float = 0.0
-    answer: Optional[frozenset] = None
-    failure: Optional[BaseException] = None
+    Records live in arrays reserved when the ledger is made, so the
+    benchmark's own bookkeeping takes the same memory whatever the
+    throughput.  An answer is kept once per distinct answer object: cache
+    hits share one.  Refusals and updates are rare and sit in dictionaries.
+    """
 
+    def __init__(self, capacity: int) -> None:
+        self.count = 0
+        self.items = array("i", bytes(4 * capacity))  # pattern index; -1 for an update
+        self.latencies = array("d", bytes(8 * capacity))  # wall seconds
+        self.answer_ids = array("i", bytes(4 * capacity))  # into self.answers; -1 for none
+        self.answers: List[frozenset] = []
+        self.deltas: Dict[int, object] = {}
+        self.failures: Dict[int, BaseException] = {}
+        self._answer_ids: Dict[int, int] = {}
+        self._lock = threading.Lock()
 
-@dataclass
-class Window:
-    ops: List[Op]
-    elapsed: float
+    def __len__(self) -> int:
+        return self.count
+
+    def open(self, item: int, delta: object = None) -> int:
+        """Reserve the next record; returns its position."""
+        position = self.count
+        if position == len(self.items):
+            for column in (self.items, self.latencies, self.answer_ids):
+                column.extend(column)
+        self.items[position] = item
+        self.answer_ids[position] = -1
+        if delta is not None:
+            self.deltas[position] = delta
+        self.count = position + 1
+        return position
+
+    def close(self, position: int, latency: float, answer=None, failure=None) -> None:
+        self.latencies[position] = latency
+        if failure is not None:
+            self.failures[position] = failure
+        elif answer is not None:
+            with self._lock:
+                known = self._answer_ids.get(id(answer))
+                if known is None:
+                    known = self._answer_ids[id(answer)] = len(self.answers)
+                    self.answers.append(answer)
+            self.answer_ids[position] = known
+
+    def call(self, item: int, call: Callable[[], object], delta: object = None) -> int:
+        """Send one operation and wait for it; a typed refusal is recorded."""
+        position = self.open(item, delta)
+        started = perf_counter()
+        try:
+            result = call()
+        except ReproError as refusal:
+            self.close(position, perf_counter() - started, failure=refusal)
+        else:
+            answer = result.answer if delta is None else None
+            self.close(position, perf_counter() - started, answer=answer)
+        return position
+
+    def is_update(self, position: int) -> bool:
+        return position in self.deltas
+
+    def answer(self, position: int) -> Optional[frozenset]:
+        known = self.answer_ids[position]
+        return self.answers[known] if known >= 0 else None
+
+    def served(self, first: int = 0, last: Optional[int] = None) -> List[int]:
+        """Positions in ``[first, last)`` that were not refused."""
+        last = self.count if last is None else last
+        return [position for position in range(first, last) if position not in self.failures]
+
+    def query_answers(self) -> List[Optional[frozenset]]:
+        return [self.answer(position) for position in range(self.count) if position not in self.deltas]
 
 
 def unique_patterns(graph, count: int, grid, seed: int, exclude=()) -> list:
@@ -123,26 +182,22 @@ def churn_deltas(graph, patterns, count: int, seed: int) -> list:
     return deltas
 
 
-def _timed(op: Op, call: Callable[[], object]) -> Op:
-    started = perf_counter()
-    try:
-        result = call()
-    except ReproError as refusal:
-        op.failure = refusal
-    else:
-        if op.kind == "query":
-            op.answer = result.answer
-    op.latency = perf_counter() - started
-    return op
-
-
 class Workload:
     """Inputs from a seed, and the calls that drive one front door."""
 
     name = ""
     dataset = ""
-    #: Edge-churn deltas applied after the timed window by read-only workloads.
+    #: Edge-churn deltas applied after the timed window: the update latency
+    #: samples of the read-only workloads, and more of them on the others.
     probe_size = 100
+    #: Whether the timed window itself writes.
+    writes = False
+    #: Records the window's ledger reserves up front.
+    capacity = 1 << 13
+    #: Operations the window sends before its peak memory is read.
+    memory_ops = 100
+    #: Whether the warm-up queries are cold samples for the cold tax.
+    cold_warmup = True
 
     def __init__(self, seed: int, scale: float = 3.0) -> None:
         self.seed = seed
@@ -154,29 +209,26 @@ class Workload:
     def open(self, graph):
         return QueryService(graph)
 
-    def warm(self, door) -> List[Tuple[object, float]]:
-        """Make *door* ready to serve; returns (pattern, latency) of cold queries."""
-        samples = []
-        for pattern in self.pool:
-            started = perf_counter()
-            door.evaluate(pattern)
-            samples.append((pattern, perf_counter() - started))
-        return samples
+    def warm_patterns(self) -> list:
+        """Patterns the front door answers during set-up, one at a time."""
+        return self.pool
 
-    def run(self, door, stop: Callable[[List[Op]], bool], start: int = 0) -> Window:
-        """Send operations from position *start* of the workload's stream
-        until ``stop(ops)`` holds or the stream ends."""
+    def run(self, door, ledger: Ledger, stop: Callable[[Ledger], bool]) -> float:
+        """Send operations from position ``len(ledger)`` of the workload's
+        stream until ``stop(ledger)`` holds or the stream ends; returns the
+        seconds until the last answer came back."""
         raise NotImplementedError
 
-    def probe(self, door, count: int) -> List[Op]:
-        """Edge churn through the front door after the window, then one query
-        so the oracle sees the post-churn state."""
-        ops = [
-            _timed(Op("update", delta=delta), partial(door.apply_delta, delta))
+    def probe(self, door, count: int) -> List[Tuple[int, Callable[[], object], object]]:
+        """(item, call, delta) steps after the window: edge churn through
+        the front door, then one query so the oracle sees the post-churn
+        state."""
+        steps = [
+            (-1, partial(door.apply_delta, delta), delta)
             for delta in churn_deltas(door.graph, self.pool[:4], count, self.seed)
         ]
-        ops.append(_timed(Op("query", item=0), partial(door.evaluate, self.pool[0])))
-        return ops
+        steps.append((0, partial(door.evaluate, self.pool[0]), None))
+        return steps
 
     # ------------------------------------------------------------- telemetry
 
@@ -202,6 +254,8 @@ class ColdUnique(Workload):
     name = "cold-unique"
     dataset = "pokec"
     pool_size = 400
+    probe_size = 250
+    cold_warmup = False
 
     def __init__(self, seed: int, scale: float = 3.0) -> None:
         super().__init__(seed, scale)
@@ -210,19 +264,16 @@ class ColdUnique(Workload):
             self.graph, self.pool_size, MIXED_GRID, seed, exclude=self.warmup_patterns
         )
 
-    def warm(self, door) -> List[Tuple[object, float]]:
-        for pattern in self.warmup_patterns:
-            door.evaluate(pattern)
-        return []
+    def warm_patterns(self) -> list:
+        return self.warmup_patterns
 
-    def run(self, door, stop, start: int = 0) -> Window:
-        ops: List[Op] = []
+    def run(self, door, ledger, stop) -> float:
         started = perf_counter()
-        for item in range(start, len(self.pool)):
-            if stop(ops):
+        for item in range(len(ledger), len(self.pool)):
+            if stop(ledger):
                 break
-            ops.append(_timed(Op("query", item=item), partial(door.evaluate, self.pool[item])))
-        return Window(ops, perf_counter() - started)
+            ledger.call(item, partial(door.evaluate, self.pool[item]))
+        return perf_counter() - started
 
 
 class ZipfFleet(Workload):
@@ -232,6 +283,8 @@ class ZipfFleet(Workload):
     outstanding = 16
     exponent = 1.1
     stream_length = 1 << 16
+    capacity = 1 << 19
+    memory_ops = 100_000
 
     def __init__(self, seed: int, scale: float = 3.0) -> None:
         super().__init__(seed, scale)
@@ -247,13 +300,12 @@ class ZipfFleet(Workload):
     def open(self, graph):
         return ShardedService(graph, num_shards=2)
 
-    def run(self, door, stop, start: int = 0) -> Window:
+    def run(self, door, ledger, stop) -> float:
         """Keep ``outstanding`` requests in flight; each completion submits
         the next request from its callback, on the fleet's dispatcher
         thread.  A separate client thread would hand the interpreter lock
         back and forth with the dispatcher on every request: on a 2-vCPU VM
         that design served anywhere from 86k to 242k requests in 20-s runs."""
-        ops: List[Op] = []
         lock = threading.Lock()
         drained = threading.Event()
         in_flight = [self.outstanding]
@@ -262,34 +314,31 @@ class ZipfFleet(Workload):
         def send() -> None:
             while True:
                 with lock:
-                    if stop(ops):
+                    if stop(ledger):
                         in_flight[0] -= 1
                         if not in_flight[0]:
                             drained.set()
                         return
-                    request = start + len(ops)
-                    op = Op("query", item=self.stream[request % len(self.stream)])
-                    ops.append(op)
-                pattern = self.pool[op.item]
-                if request % 3 == 2:
-                    pattern = respelled(pattern, request)
+                    position = ledger.open(self.stream[len(ledger) % len(self.stream)])
+                pattern = self.pool[ledger.items[position]]
+                if position % 3 == 2:
+                    pattern = respelled(pattern, position)
                 submitted = perf_counter()
                 try:
                     future = door.submit(pattern)
                 except ReproError as refusal:
-                    op.failure = refusal
+                    ledger.close(position, 0.0, failure=refusal)
                     continue
-                future.add_done_callback(partial(done, op, submitted))
+                future.add_done_callback(partial(done, position, submitted))
                 return
 
-        def done(op: Op, submitted: float, future) -> None:
+        def done(position: int, submitted: float, future) -> None:
             now = perf_counter()
-            op.latency = now - submitted
             error = future.exception()
             if error is None:
-                op.answer = future.result().answer
+                ledger.close(position, now - submitted, answer=future.result().answer)
             else:
-                op.failure = error
+                ledger.close(position, now - submitted, failure=error)
             finished[0] = max(finished[0], now)
             send()
 
@@ -298,7 +347,7 @@ class ZipfFleet(Workload):
             send()
         if not drained.wait(timeout=150):
             raise RuntimeError("zipf-fleet requests did not complete within 150 s")
-        return Window(ops, max(finished[0], started) - started)
+        return max(finished[0], started) - started
 
 
 class ChurnYago2(Workload):
@@ -306,37 +355,33 @@ class ChurnYago2(Workload):
     dataset = "yago2"
     hot_size = 12
     stream_length = 4000
-    probe_size = 0
+    probe_size = 200
+    writes = True
+    memory_ops = 600
 
     def __init__(self, seed: int, scale: float = 3.0) -> None:
         super().__init__(seed, scale)
         self.pool = unique_patterns(self.graph, self.hot_size, MIXED_GRID, HOT_SET_SEED)
         position = {id(pattern): item for item, pattern in enumerate(self.pool)}
+        #: (pattern index, None) for a query, (-1, delta) for an update.
         self.stream = [
-            Op("update", delta=op.delta) if op.is_update
-            else Op("query", item=position[id(op.pattern)])
+            (-1, op.delta) if op.is_update else (position[id(op.pattern)], None)
             for op in update_workload(
                 self.graph, self.pool, self.stream_length,
                 update_fraction=0.25, exponent=1.1, seed=seed,
             )
         ]
 
-    def run(self, door, stop, start: int = 0) -> Window:
-        ops: List[Op] = []
+    def run(self, door, ledger, stop) -> float:
         started = perf_counter()
-        for planned in self.stream[start:]:
-            if stop(ops):
+        for item, delta in self.stream[len(ledger):]:
+            if stop(ledger):
                 break
-            op = Op(planned.kind, item=planned.item, delta=planned.delta)
-            if op.kind == "update":
-                call = partial(door.apply_delta, op.delta)
+            if delta is not None:
+                ledger.call(item, partial(door.apply_delta, delta), delta)
             else:
-                call = partial(door.evaluate, self.pool[op.item])
-            ops.append(_timed(op, call))
-        return Window(ops, perf_counter() - started)
-
-    def probe(self, door, count: int) -> List[Op]:
-        return []
+                ledger.call(item, partial(door.evaluate, self.pool[item]))
+        return perf_counter() - started
 
 
 WORKLOADS: Dict[str, type] = {
@@ -347,45 +392,50 @@ WORKLOADS: Dict[str, type] = {
 # ------------------------------------------------------------------ oracle
 
 
-def check(workload: Workload, ops: Sequence[Op]) -> List[str]:
+def check(workload: Workload, ledger: Ledger) -> List[str]:
     """Compare every answer with ``EnumMatcher`` on the graph state it was
     served from; returns one line per mismatch.  Deltas are replayed on a
     copy of the workload's graph; a refused delta is not replayed."""
     graph = workload.graph.copy()
     oracle = EnumMatcher()
     expected: Dict[Tuple[int, int], frozenset] = {}
+    verified = set()
     state = 0
     mismatches = []
-    for position, op in enumerate(ops):
-        if op.kind == "update":
-            if op.failure is None:
-                apply_delta(graph, op.delta)
-                state += 1
+    for position in ledger.served():
+        if ledger.is_update(position):
+            apply_delta(graph, ledger.deltas[position])
+            state += 1
             continue
-        if op.failure is not None:
+        item = ledger.items[position]
+        key = (state, item)
+        if (key, ledger.answer_ids[position]) in verified:
             continue
-        key = (state, op.item)
         if key not in expected:
-            pattern = workload.pool[op.item]
+            pattern = workload.pool[item]
             expected[key] = frozenset(oracle.evaluate(pattern, graph).answer)
-        if op.answer != expected[key]:
+        answer = ledger.answer(position)
+        if answer == expected[key]:
+            verified.add((key, ledger.answer_ids[position]))
+        else:
             mismatches.append(
-                f"op {position}: pattern {op.item} after {state} deltas answered "
-                f"{len(op.answer)} nodes, oracle {len(expected[key])}"
+                f"op {position}: pattern {item} after {state} deltas answered "
+                f"{'no' if answer is None else len(answer)} nodes, oracle {len(expected[key])}"
             )
     return mismatches
 
 
-def cold_tax_ratio(workload: Workload, samples: Sequence[Tuple[object, float]]) -> float:
+def cold_tax_ratio(workload: Workload, samples: Sequence[Tuple[object, float]], pacer) -> float:
     """Median over cold queries of front-door latency ÷ direct ``QMatch``
-    on an indexed copy of the same graph."""
+    on an indexed copy of the same graph, both in reference seconds."""
     graph = workload.graph.copy()
     GraphIndex.for_graph(graph)
     engine = QMatch()
     ratios = []
+    pacer.begin()
     for pattern, latency in samples[:16]:
         started = perf_counter()
         engine.evaluate(pattern, graph)
-        ratios.append(latency / (perf_counter() - started))
+        ratios.append(latency / ((perf_counter() - started) * pacer.scale()))
     ratios.sort()
     return ratios[len(ratios) // 2] if ratios else 0.0
