@@ -17,13 +17,15 @@ accelerates:
 * ``serve-cold``      — the pre-delta serving story: the *same*
   :class:`QueryService`, but every update mutates the graph outside the
   delta protocol, so the version-keyed stack cold-starts — the compiled
-  index recompiles, the d-hop partition re-builds, every cache entry goes
-  unreachable;
+  index recompiles and every cache entry goes unreachable (the serial
+  service evaluates misses once on the served graph, so it keeps no
+  partition to rebuild);
 * ``serve-delta``     — the same stream through the same service, updates
   arriving as :meth:`QueryService.apply_delta` batches (index refresh,
-  in-place partition maintenance, selective cache migration, standing-query
-  maintenance).  ``serve-delta`` vs ``serve-cold`` isolates exactly what the
-  delta layer buys.
+  selective cache migration, standing-query maintenance).  ``serve-delta``
+  vs ``serve-cold`` isolates exactly what the delta layer buys.  In-place
+  partition maintenance is exercised by the process-backend segment, the
+  only backend that fans out to fragments.
 
 Assertions (the acceptance bar of the delta layer):
 

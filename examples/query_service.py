@@ -9,8 +9,9 @@ full PQMatch pipeline per request, a :class:`repro.service.QueryService`
 1. canonicalizes every request (renamed variables, reordered edges and
    ``> p`` vs ``≥ p+1`` spellings collapse to one fingerprint),
 2. serves repeats from a version-aware LRU cache,
-3. deduplicates the misses of each batch and ships them to the parallel
-   executor in a single round,
+3. deduplicates the misses of each batch and evaluates them in a single
+   round — once each on the served graph with the default serial
+   coordinator, fanned out to fragments only on a process pool,
 4. recomputes automatically once the graph structurally changes — and keeps
    the cache warm across attribute-only updates.
 

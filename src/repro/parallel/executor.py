@@ -30,6 +30,7 @@ from __future__ import annotations
 import pickle
 import zlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -45,7 +46,7 @@ from repro.parallel.worker import (
     options_key_from_spec,
 )
 from repro.patterns.qgp import QuantifiedGraphPattern
-from repro.utils.errors import PartitionError
+from repro.utils.errors import PartitionError, ServiceError
 
 __all__ = [
     "SerialExecutor",
@@ -413,6 +414,27 @@ class ProcessExecutor:
         return results
 
     def _run_round(self, tasks: Sequence[FragmentTask]) -> List[FragmentResult]:
+        """Run one round, recovering once from a broken pool.
+
+        A pool whose worker died (OOM kill, segfault, SIGKILL) is broken for
+        good, so the round is retried once on a fresh pool — the cold-pool
+        branch of :meth:`_attempt_round` re-ships every payload.  A pool that
+        breaks again fails only this round, with a :class:`ServiceError`;
+        the next round starts from a cold pool again.
+        """
+        try:
+            return self._attempt_round(tasks)
+        except BrokenProcessPool:
+            self.shutdown()
+        try:
+            return self._attempt_round(tasks)
+        except BrokenProcessPool as error:
+            self.shutdown()
+            raise ServiceError(
+                f"process pool broke twice running a round of {len(tasks)} tasks"
+            ) from error
+
+    def _attempt_round(self, tasks: Sequence[FragmentTask]) -> List[FragmentResult]:
         payloads = [self._payload_for(task) for task in tasks]
         # The epoch is the *set* of shipped fragment contents: a batched run
         # (many patterns × the same fragments, as the serving layer submits)
@@ -478,10 +500,12 @@ class ProcessExecutor:
             )
             for payload, task in zip(payloads, tasks)
         ]
+        # Collect every future before touching the accumulators, so a round
+        # that breaks midway and is retried never counts a task twice.
+        outcomes = [future.result() for future in futures]
         results: List[FragmentResult] = []
         tracer = get_tracer()
-        for future in futures:
-            result, rebuilds, plan_stats = future.result()
+        for result, rebuilds, plan_stats in outcomes:
             self.last_worker_rebuilds += rebuilds
             self.last_worker_plan_hits += plan_stats[0]
             self.last_worker_plan_misses += plan_stats[1]

@@ -447,11 +447,12 @@ class CompiledPlan:
         Keyed ``(id(graph), graph.version)`` with the graph pinned by the
         entry (mirrors :class:`repro.service.cache.ResultCache`), so an id
         can never be recycled while its key is live.  A version bump makes a
-        fresh key — the stale resolution ages out of the LRU — and only the
-        resolution is redone: the compiled program (closures, canonical
-        shape) is reused as-is.
+        fresh key and only the resolution is redone: the compiled program
+        (closures, canonical shape) is reused as-is.  Versions only grow, so
+        the graph's older resolutions can never hit again; they are evicted
+        right away instead of pinning superseded row stores in the LRU.
         """
-        key = (id(graph), graph.version)
+        graph_id, version = key = (id(graph), graph.version)
         with self._lock:
             resolution = self._resolutions.get(key)
             if resolution is not None and resolution.graph is graph:
@@ -459,6 +460,11 @@ class CompiledPlan:
                 return resolution
         resolution = PlanResolution(self, graph)
         with self._lock:
+            for stale in [
+                old for old in self._resolutions
+                if old[0] == graph_id and old[1] < version
+            ]:
+                del self._resolutions[stale]
             self._resolutions[key] = resolution
             self._resolutions.move_to_end(key)
             while len(self._resolutions) > _MAX_RESOLUTIONS:

@@ -1,4 +1,4 @@
-"""The query-serving façade: canonicalize → cache → batched parallel dispatch.
+"""The query-serving façade: canonicalize → cache → batched dispatch.
 
 :class:`QueryService` is the request-level layer in front of
 :class:`~repro.parallel.coordinator.PQMatch`.  Where the coordinator answers
@@ -13,16 +13,20 @@ edges from scratch every time — the service recognises *traffic*:
    structural mutations invalidate by unreachability, attribute updates keep
    the cache warm;
 3. cache misses inside one batch are **deduplicated** by fingerprint and
-   shipped as a single executor round: one
+   evaluated as one dispatch round.  An in-process coordinator (``serial``
+   — the default — ``thread`` or ``simulated``) evaluates each unique miss
+   **once on the served graph**: ownership partitions the nodes, so the
+   whole-graph answer is exactly the union of the owned-restricted fragment
+   answers, while in-process fragments would only redo work on their
+   overlapping halos.  Only the ``process`` backend fans out — one
    :class:`~repro.parallel.worker.FragmentTask` per (unique pattern ×
-   fragment), all submitted to the coordinator's persistent executor at once
-   instead of one dispatch round per query.  On the process backend the
-   fragments themselves were already shipped at pool creation, so a serving
-   round moves only patterns and answers.
+   fragment), all submitted to the persistent pool at once; the fragments
+   themselves were shipped at pool creation, so a serving round moves only
+   patterns and answers.
 
-The pool, partition and executor are owned by the wrapped coordinator and
-reused for the service's lifetime (close the service — or use it as a context
-manager — to release pool processes).
+The partition and the pool exist only for the process backend.  They are
+owned by the wrapped coordinator and reused for the service's lifetime (close
+the service — or use it as a context manager — to release pool processes).
 
 Concurrency model: :meth:`QueryService.evaluate` and
 :meth:`~QueryService.evaluate_many` serialise on an internal lock (the
@@ -104,9 +108,9 @@ class ServiceStats:
 
     ``deduplicated`` counts queries answered by sharing another query's
     computation *within the same batch* (cache hits are counted by the cache
-    itself); ``dispatch_rounds`` counts executor rounds — the quantity batching
-    minimises; ``computed`` counts unique patterns that actually reached the
-    matching layer.  ``memo_hits`` counts canonicalizations skipped by the
+    itself); ``dispatch_rounds`` counts dispatch rounds (one per batch with
+    misses) — the quantity batching minimises; ``computed`` counts unique
+    patterns that actually reached the matching layer.  ``memo_hits`` counts canonicalizations skipped by the
     per-pattern-object memo; the ``delta_*`` family describes update batches:
     batches applied, cache entries carried across a version vs dropped, and
     standing-query answers delta-maintained.
@@ -234,12 +238,15 @@ class QueryService:
         The live :class:`~repro.graph.PropertyGraph` being served.  The
         service reads its mutation counter on every batch, so structural
         updates between batches are picked up automatically (stale cache
-        entries become unreachable, the coordinator re-partitions and — on
-        the process backend — re-ships fragments).
+        entries become unreachable; on the process backend the coordinator
+        re-partitions and re-ships fragments).
     coordinator:
-        The :class:`~repro.parallel.coordinator.PQMatch` that evaluates cache
-        misses; defaults to a fresh serial-executor coordinator.  The service
-        owns it: :meth:`close` closes it.
+        The :class:`~repro.parallel.coordinator.PQMatch` whose engine
+        evaluates cache misses; defaults to a fresh serial-executor
+        coordinator.  Its ``executor_kind`` picks the route: in-process
+        kinds evaluate each miss once on the served graph, ``"process"``
+        fans out to the fragments of its partition.  The service owns it:
+        :meth:`close` closes it.
     cache_capacity:
         Bound on the number of cached answers (LRU beyond it).
     use_plans:
@@ -302,8 +309,8 @@ class QueryService:
         self.stats_registry = StatsRegistry(stats_registry_capacity)
         self._options_key = _engine_options_key(self.coordinator.engine)
         # Plans are only wired through for the standard QMatch engine: an
-        # opaque engine would reject the plan keyword inside match_fragment's
-        # TypeError fallback and silently lose its focus restriction with it.
+        # opaque engine would reject the plan keyword (and, inside
+        # match_fragment's TypeError fallback, lose its focus restriction).
         self._plans_enabled = bool(use_plans) and self._options_key[0] == "qmatch"
         # Prepared-statement style canonicalization memo: repeat submissions
         # of the *same pattern object* skip the ~50µs canonicalize.  Weak keys
@@ -336,7 +343,7 @@ class QueryService:
     # -------------------------------------------------------------- one query
 
     def evaluate(self, pattern: QuantifiedGraphPattern) -> ServiceResult:
-        """Serve one pattern (cache → canonical dedupe → parallel dispatch)."""
+        """Serve one pattern (cache → canonical dedupe → dispatch)."""
         return self.evaluate_many([pattern])[0]
 
     def evaluate_answer(self, pattern: QuantifiedGraphPattern, graph=None) -> FrozenSet:
@@ -360,7 +367,7 @@ class QueryService:
         """Serve a batch of patterns, in input order.
 
         Duplicate (equivalent) patterns inside the batch are computed once;
-        all cache misses ship to the executor in a single round.  The call is
+        all cache misses are evaluated in a single round.  The call is
         all-or-nothing: an invalid pattern anywhere in the batch raises (the
         :meth:`submit` path isolates failures per request instead, so one
         caller's bad pattern never fails a coalesced stranger's).
@@ -405,8 +412,8 @@ class QueryService:
         # compiled plan without re-canonicalizing.
         missing: Dict[str, Tuple[QuantifiedGraphPattern, CanonicalPattern, List[int]]] = {}
         # Per-request service time: a hit costs its lookup; a miss costs the
-        # lookup plus its fingerprint's share of the dispatch round (the sum
-        # of its fragments' evaluation times) — this is what feeds the
+        # lookup plus its fingerprint's share of the dispatch round (its
+        # evaluation time, summed over fragments on the pool) — this feeds the
         # per-fingerprint p50/p99 and the slow-query log.
         request_elapsed: List[float] = [0.0] * len(patterns)
         compute_counters: Dict[str, WorkCounter] = {}
@@ -527,32 +534,34 @@ class QueryService:
     ) -> Tuple[
         Dict[str, FrozenSet], Dict[str, float], Dict[str, WorkCounter], Dict[str, str]
     ]:
-        """Evaluate the unique cache misses in one executor round.
-
-        Composes :meth:`PQMatch.fragment_tasks` / ``run_fragment_tasks`` —
-        the same construction and execution :meth:`PQMatch.evaluate` uses, so
-        answers are byte-identical by sharing code, not by mirroring it — but
-        concatenates *every* pattern's tasks into a single round, so the
-        per-round fixed costs (pool round-trip, task scheduling) are paid once
-        per batch instead of once per query.
+        """Evaluate the unique cache misses of one batch as one dispatch round.
 
         With plans enabled, each unique fingerprint is first resolved through
         the service's :class:`PlanCache` (compile once, reuse thereafter) and
-        its tasks are stamped with the plan + canonical binding before the
-        round runs.
+        handed to the evaluation with its canonical binding.
+
+        An in-process coordinator (``serial``, ``thread``, ``simulated``)
+        evaluates each miss **once on the served graph**.  Ownership
+        partitions the nodes, so the whole-graph answer is exactly the union
+        of the owned-restricted fragment answers (Lemma 9), and in-process
+        fragments cannot overlap in time for pure-Python matching while their
+        halos overlap in work — the fan-out could only add cost.  Such a
+        service therefore never builds or maintains a partition.
+
+        Only the ``process`` backend fans out: it composes
+        :meth:`PQMatch.fragment_tasks` / ``run_fragment_tasks`` — the code
+        :meth:`PQMatch.evaluate` uses — but concatenates *every* pattern's
+        tasks into a single pool round, so the round-trip is paid once per
+        batch instead of once per query.
 
         Returns ``(answers, timings, counters, plan_labels)``: per
-        fingerprint, the frozen answer, the summed per-fragment evaluation
-        seconds (its share of the round — the introspection layer's
-        compute-latency sample), the merged work counters, and the serving
-        plan's compact label for the slow-query log.
+        fingerprint, the frozen answer, its evaluation seconds (summed over
+        fragments on the pool — the introspection layer's compute-latency
+        sample), the merged work counters, and the serving plan's compact
+        label for the slow-query log.
         """
-        coordinator = self.coordinator
-        radius = 0
         for _, pattern, _ in unique:
             pattern.validate()
-            radius = max(radius, pattern.radius())
-        partition = coordinator.ensure_radius(graph, radius)
 
         plans: Dict[str, object] = {}
         plan_labels: Dict[str, str] = {}
@@ -566,6 +575,49 @@ class QueryService:
                     f"{fingerprint[:12]} {plan.order_label(graph)}"
                 )
 
+        self.stats.dispatch_rounds += 1
+        if self.coordinator.executor_kind == "process":
+            answers, timings, counters = self._fan_out(graph, unique, plans)
+        else:
+            answers, timings, counters = self._evaluate_once(graph, unique, plans)
+        return answers, timings, counters, plan_labels
+
+    def _evaluate_once(
+        self,
+        graph: PropertyGraph,
+        unique: List[Tuple[str, QuantifiedGraphPattern, CanonicalPattern]],
+        plans: Dict[str, object],
+    ) -> Tuple[Dict[str, FrozenSet], Dict[str, float], Dict[str, WorkCounter]]:
+        """One engine call per unique miss on the whole served graph."""
+        engine = self.coordinator.engine
+        answers: Dict[str, FrozenSet] = {}
+        timings: Dict[str, float] = {}
+        counters: Dict[str, WorkCounter] = {}
+        with span("service.dispatch", patterns=len(unique), tasks=0):
+            for fingerprint, pattern, form in unique:
+                plan = plans.get(fingerprint)
+                with Timer() as timer:
+                    if plan is not None:
+                        result = engine.evaluate(
+                            pattern, graph, plan=plan, plan_binding=form.order
+                        )
+                    else:
+                        result = engine.evaluate(pattern, graph)
+                answers[fingerprint] = frozenset(result.answer)
+                timings[fingerprint] = timer.elapsed
+                counters[fingerprint] = result.counter
+        return answers, timings, counters
+
+    def _fan_out(
+        self,
+        graph: PropertyGraph,
+        unique: List[Tuple[str, QuantifiedGraphPattern, CanonicalPattern]],
+        plans: Dict[str, object],
+    ) -> Tuple[Dict[str, FrozenSet], Dict[str, float], Dict[str, WorkCounter]]:
+        """One pool round of (unique pattern × fragment) tasks, merged."""
+        coordinator = self.coordinator
+        radius = max(pattern.radius() for _, pattern, _ in unique)
+        partition = coordinator.ensure_radius(graph, radius)
         tasks: List[FragmentTask] = []
         owners: List[str] = []
         for fingerprint, pattern, form in unique:
@@ -579,7 +631,6 @@ class QueryService:
             tasks.extend(pattern_tasks)
             owners.extend([fingerprint] * len(pattern_tasks))
 
-        self.stats.dispatch_rounds += 1
         with span("service.dispatch", patterns=len(unique), tasks=len(tasks)):
             fragment_results = coordinator.run_fragment_tasks(tasks)
 
@@ -596,7 +647,6 @@ class QueryService:
             {fingerprint: frozenset(nodes) for fingerprint, nodes in answers.items()},
             timings,
             counters,
-            plan_labels,
         )
 
     # -------------------------------------------------------- canonicalization
@@ -640,10 +690,11 @@ class QueryService:
         1. the graph mutates once (one version bump) via
            :func:`repro.delta.apply_delta`;
         2. the compiled full-graph index is **refreshed**, not rebuilt;
-        3. the coordinator maintains its partition in place and the process
-           executor re-keys shipped fragments to delta chains
-           (:meth:`PQMatch.apply_delta`) — no re-partition, no re-ship,
-           zero worker rebuilds;
+        3. on the process backend, the coordinator maintains its partition
+           in place and the executor re-keys shipped fragments to delta
+           chains (:meth:`PQMatch.apply_delta`) — no re-partition, no
+           re-ship, zero worker rebuilds.  In-process coordinators hold no
+           partition, so this step is a no-op for them;
         4. cached answers migrate *selectively*: an entry whose pattern's
            affected area contains **no node carrying its focus label** cannot
            have changed (any focus candidate whose answer flipped is inside

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.delta import GraphDelta
 from repro.graph import PropertyGraph
 from repro.matching import QMatch
 from repro.parallel import PQMatch
@@ -206,6 +207,26 @@ class TestServicePlanCache:
             graph.add_edge("u4", "u1", "follow")
             service.evaluate(pattern)
             assert service.plans.stats.misses == 2
+            assert service.plans.stats.compiles == 1
+
+    def test_deltas_leave_one_resolution_per_graph(self):
+        graph = make_graph()
+        pattern = make_pattern()
+        with QueryService(graph, name="plans-deltas") as service:
+            fingerprint = service.evaluate(pattern).fingerprint
+            for step in range(6):
+                edge = ("u4", "u1", "follow")
+                service.apply_delta(
+                    GraphDelta.build(edge_inserts=[edge])
+                    if step % 2 == 0
+                    else GraphDelta.build(edge_deletes=[edge])
+                )
+                service.cache.clear()
+                service.evaluate(pattern)
+            plan = service.plans.plan_for(
+                graph, fingerprint, service._options_key, pattern
+            )
+            assert list(plan._resolutions) == [(id(graph), graph.version)]
             assert service.plans.stats.compiles == 1
 
     def test_unique_fingerprints_compile_exactly_once(self):

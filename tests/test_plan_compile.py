@@ -190,6 +190,21 @@ class TestPlanResolution:
         assert second is not first
         assert second.snapshot is not first.snapshot
 
+    def test_newer_version_evicts_the_graphs_older_resolutions(self):
+        graph, other = small_graph(), small_graph()
+        plan = compile_plan(sample_pattern())
+        kept = plan.resolution_for(other)
+        before = plan_compile_count()
+        for _ in range(5):
+            graph.add_edge("a", "d", "follow")
+            plan.resolution_for(graph)
+            graph.remove_edge("a", "d", "follow")
+            plan.resolution_for(graph)
+        graph_keys = [key for key in plan._resolutions if key[0] == id(graph)]
+        assert graph_keys == [(id(graph), graph.version)]
+        assert plan.resolution_for(other) is kept
+        assert plan_compile_count() == before
+
     def test_edge_rows_cover_both_orientations(self):
         graph = small_graph()
         plan = compile_plan(sample_pattern())

@@ -102,8 +102,12 @@ def quantified_patterns(draw) -> QuantifiedGraphPattern:
 @given(graph=labeled_graphs(), pattern=quantified_patterns())
 @settings(**SETTINGS)
 def test_qmatch_agrees_with_reference_semantics(graph, pattern):
+    from repro.service import QueryService
+
     expected = EnumMatcher().evaluate_answer(pattern, graph)
     assert QMatch().evaluate_answer(pattern, graph) == expected
+    with QueryService(graph) as service:
+        assert service.evaluate_answer(pattern) == expected
 
 
 @given(graph=labeled_graphs(), pattern=quantified_patterns())

@@ -1,4 +1,5 @@
-"""Storage fault injection: every way the shared store lies, serving survives.
+"""Fault injection: every way the shared store lies or a pool worker dies,
+serving survives.
 
 The asymmetric contract under test (see ``repro/serve/shared_cache.py``): a
 hit is served only after every integrity gate passes; ANY read failure —
@@ -6,11 +7,17 @@ flipped bytes, truncation, a peer's lock, unpicklable payloads, schema skew —
 degrades to a recompute.  Degraded is observable (``serve.cache.degraded``
 moves, ``last_degraded_reason`` names the gate) and never wrong: each test
 pins the served answer against a fresh single-service oracle.
+
+The process pool gets the same treatment: a pool whose workers were killed is
+replaced once per round, and a pool that breaks again fails only that round,
+with a typed :class:`~repro.utils.errors.ServiceError`.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import signal
 import sqlite3
 import zlib
 
@@ -18,9 +25,12 @@ import pytest
 
 from fixtures import build_paper_g1, build_q2, build_q3
 from repro.delta import GraphDelta
+from repro.matching import EnumMatcher
 from repro.obs.metrics import active_metrics
+from repro.parallel import PQMatch
 from repro.serve import ShardedService, SharedResultCache
 from repro.service import QueryService
+from repro.utils.errors import ServiceError
 
 
 def _oracle_answer(graph, pattern):
@@ -201,3 +211,69 @@ def test_stale_vector_entries_are_unreachable_after_delta(warmed):
         assert fleet.stats.shared_hits == 0
         assert served.answer == _oracle_answer(fleet.graph, build_q2())
         assert fleet.shared.stats.degraded == 0  # staleness is not a fault
+
+
+# ---------------------------------------------------------------------------
+# Pool workers die: the next round recovers on a fresh pool
+# ---------------------------------------------------------------------------
+
+_TEST_PROCESS = os.getpid()
+
+
+class _WorkerKiller:
+    """An engine that SIGKILLs the pool worker evaluating it."""
+
+    name = "worker-killer"
+
+    def evaluate(self, pattern, graph, focus_restriction=None):
+        if os.getpid() == _TEST_PROCESS:
+            raise AssertionError("the killer engine must only run in pool workers")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _kill_workers(executor):
+    processes = list(executor._pool._processes.values())
+    assert processes
+    for process in processes:
+        os.kill(process.pid, signal.SIGKILL)
+    for process in processes:
+        process.join(timeout=30)
+        assert not process.is_alive()
+    return {process.pid for process in processes}
+
+
+def test_killed_pool_workers_recover_on_the_next_miss():
+    graph = build_paper_g1()
+    coordinator = PQMatch(num_workers=2, d=2, executor="process")
+    with QueryService(graph, coordinator) as service:
+        first = service.evaluate(build_q2())
+        assert first.answer == EnumMatcher().evaluate(build_q2(), graph).answer
+        killed = _kill_workers(coordinator.executor)
+
+        served = service.evaluate(build_q3(2))
+        assert not served.cached
+        assert served.answer == EnumMatcher().evaluate(build_q3(2), graph).answer
+        assert killed.isdisjoint(coordinator.executor._pool._processes)
+
+        # Later misses keep working on the replacement pool.
+        service.cache.clear()
+        for pattern in (build_q2(), build_q3(1)):
+            result = service.evaluate(pattern)
+            assert not result.cached
+            assert result.answer == EnumMatcher().evaluate(pattern, graph).answer
+        assert service.worker_rebuilds == 0
+
+
+def test_pool_that_breaks_twice_fails_only_that_round():
+    coordinator = PQMatch(num_workers=2, d=2, executor="process", engine=_WorkerKiller())
+    with QueryService(build_paper_g1(), coordinator) as service:
+        with pytest.raises(ServiceError, match="broke twice"):
+            service.evaluate(build_q2())
+        assert coordinator.executor.pool_epoch is None  # the broken pool is gone
+        # The failure stays with its request: a submission fails its own
+        # future and the dispatcher lives on to serve the next one.
+        with pytest.raises(ServiceError):
+            service.submit(build_q2()).result(timeout=120)
+        with pytest.raises(ServiceError):
+            service.submit(build_q3(2)).result(timeout=120)
+        assert service.worker_rebuilds == 0

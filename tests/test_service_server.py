@@ -2,10 +2,11 @@
 
 Contracts under test: served answers are byte-identical to cold PQMatch runs,
 equivalent queries share one computation (cache across batches, dedupe within
-a batch), all misses of a batch ship in one executor round, mutation triggers
+a batch), all misses of a batch run in one dispatch round, mutation triggers
 recomputation while attribute updates do not, concurrent ``submit`` calls are
-safe and coalesce, and process-backend serving never rebuilds indexes inside
-pool workers.
+safe and coalesce, in-process coordinators evaluate each miss once on the
+served graph (no partition, no executor), and process-backend serving never
+rebuilds indexes inside pool workers.
 """
 
 from __future__ import annotations
@@ -15,8 +16,12 @@ import threading
 import pytest
 
 from repro.datasets import benchmark_graph, paper_pattern, workload_patterns
+from repro.delta import GraphDelta
+from repro.graph import PropertyGraph
 from repro.index.snapshot import build_call_count
+from repro.matching import EnumMatcher, QMatch
 from repro.parallel import PQMatch
+from repro.patterns import QuantifiedGraphPattern
 from repro.service import QueryService, ServiceResult
 from repro.utils.errors import ReproError
 
@@ -322,6 +327,60 @@ class TestLifecycle:
             service.evaluate(queries[0])
             coordinator = service.coordinator
         assert coordinator._executor is None  # released by close()
+
+
+class TestServedGraphEvaluation:
+    @pytest.mark.parametrize("executor", ["serial", "thread", "simulated"])
+    def test_in_process_service_never_partitions_nor_starts_an_executor(
+        self, queries, executor
+    ):
+        graph = benchmark_graph("pokec", scale=0.3, seed=1)
+        coordinator = PQMatch(num_workers=4, d=2, executor=executor)
+        with QueryService(graph, coordinator) as service:
+            service.evaluate(queries[0])
+            service.submit(queries[1]).result(timeout=60)
+            subscription = service.subscribe(queries[2])
+            source, target = next(
+                (s, t) for s in graph.nodes() for t in graph.nodes()
+                if s != t and not graph.has_edge(s, t, "follow")
+            )
+            service.apply_delta(GraphDelta.build(edge_inserts=[(source, target, "follow")]))
+            assert subscription.answer == QMatch().evaluate_answer(queries[2], graph)
+            assert service.evaluate(queries[0]).answer == QMatch().evaluate_answer(
+                queries[0], graph
+            )
+            assert coordinator._partition is None
+            assert coordinator.current_executor is None
+            assert service.stats.dispatch_rounds >= 3
+            assert service.introspect()["pool"]["backend"] is None
+
+    def test_pattern_wider_than_d_answers_like_enum_without_repartition(self):
+        graph = PropertyGraph("chain")
+        for index in range(8):
+            graph.add_node(f"p{index}", "person")
+        for index in range(7):
+            graph.add_edge(f"p{index}", f"p{index + 1}", "follow")
+        graph.add_edge("p0", "p5", "follow")
+        pattern = QuantifiedGraphPattern(name="path-3")
+        for node in ("x", "y", "z", "w"):
+            pattern.add_node(node, "person")
+        pattern.set_focus("x")
+        pattern.add_edge("x", "y", "follow")
+        pattern.add_edge("y", "z", "follow")
+        pattern.add_edge("z", "w", "follow")
+        assert pattern.radius() == 3
+        coordinator = PQMatch(num_workers=2, d=2)
+        with QueryService(graph, coordinator) as service:
+            served = service.evaluate(pattern)
+            assert served.answer == EnumMatcher().evaluate_answer(pattern, graph)
+            assert served.answer
+            assert coordinator._partition is None
+
+    def test_miss_counter_equals_direct_qmatch(self, served_graph, queries):
+        with QueryService(served_graph) as service:
+            for pattern, served in zip(queries, service.evaluate_many(queries)):
+                assert not served.cached
+                assert served.counter == QMatch().evaluate(pattern, served_graph).counter
 
 
 class TestProcessBackend:
