@@ -21,7 +21,7 @@ Assertions (the acceptance bar of the serving layer):
 * the batched service clears **≥ 5×** the cold throughput on the skewed
   stream;
 * the measured serving sweep triggers **zero** ``GraphIndex.build`` calls
-  (fragments, their snapshots and the partition were all warmed once) and
+  (the served graph's snapshot was warmed once) and
   zero worker-side rebuilds (``last_worker_rebuilds == 0`` — on the process
   backend below, fragments reach workers as decoded snapshots only).
 
@@ -145,9 +145,7 @@ def test_serving_zipf_throughput(benchmark, pokec_graph, record_figure):
 
     # --------------------------------------------------------- batched service
     service = QueryService(graph, PQMatch(num_workers=4, d=2), name="serving")
-    max_radius = max(pattern.radius() for pattern in uniques)
-    service.coordinator.ensure_radius(graph, max_radius)
-    service.evaluate(uniques[0])  # warm fragments + their compiled indexes
+    service.evaluate(uniques[0])  # warm the compiled graph index
     service.cache.clear()
 
     builds_before = build_call_count()
@@ -163,7 +161,6 @@ def test_serving_zipf_throughput(benchmark, pokec_graph, record_figure):
 
     # ----------------------------------------------------- unbatched service
     single = QueryService(graph, PQMatch(num_workers=4, d=2), name="serving-single")
-    single.coordinator.ensure_radius(graph, max_radius)
     single.evaluate(uniques[0])
     single.cache.clear()
     single_answers, single_elapsed = _serve(single, stream, 1)

@@ -149,7 +149,7 @@ def pokec_like_graph(config: PokecConfig = PokecConfig()) -> PropertyGraph:
     travel = hobbies[0]
     for user in r5_cohort:
         graph.add_edge(user, travel, "hobby")
-        for friend in list(graph.successors(user, "is_friend"))[:2]:
+        for friend in sorted(graph.successors(user, "is_friend"), key=str)[:2]:
             graph.add_edge(friend, travel, "hobby")
 
     return graph

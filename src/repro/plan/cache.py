@@ -39,10 +39,10 @@ NodeId = Hashable
 # (fingerprint, options_key, id(graph), graph.version)
 #
 # options_key carries the full engine options (a frozen dataclass), so any
-# switch that changes execution strategy — including the ``vectorized``
-# sorted-run mode — partitions cache entries automatically: a vectorized and
-# a frozenset service never share a plan entry, even though their answers are
-# byte-identical by contract.
+# switch that changes execution strategy — ``use_index``, say — partitions
+# cache entries automatically: an indexed and a dict-backed service never
+# share a plan entry, even though their answers are byte-identical by
+# contract.
 PlanKey = Tuple[str, object, int, int]
 ProgramKey = Tuple[str, object]
 

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.bench import EngineSpec, records_to_table, run_engines, summarize_records
 from repro.datasets import (
@@ -143,6 +151,34 @@ class TestBenchmarkGraphFactory:
     def test_paper_patterns_validate(self):
         for name in ("Q1", "Q2", "Q3", "Q4", "Q5"):
             paper_pattern(name).validate()
+
+    def test_generators_independent_of_hash_seed(self):
+        """The generators must not depend on set iteration order: a graph
+        built under two ``PYTHONHASHSEED`` values has the same edges and
+        labels (string hashing reorders ``successors`` sets otherwise)."""
+        script = (
+            "import json\n"
+            "from repro.datasets import benchmark_graph\n"
+            "out = {}\n"
+            "for name in ('pokec', 'yago2'):\n"
+            "    g = benchmark_graph(name, scale=1)\n"
+            "    out[name] = [\n"
+            "        sorted([str(s), str(t), label] for s, t, label in g.edges()),\n"
+            "        sorted([str(n), g.node_label(n)] for n in g.nodes()),\n"
+            "    ]\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        builds = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            builds.append(json.loads(completed.stdout))
+        for name in ("pokec", "yago2"):
+            assert builds[0][name] == builds[1][name], name
 
     def test_workload_patterns_are_valid_and_deterministic(self, small_pokec):
         first = workload_patterns(small_pokec, count=3, seed=7)

@@ -3,21 +3,75 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from repro.graph import PropertyGraph
 from repro.matching import (
     DMatchOptions,
     EnumMatcher,
     QMatch,
+    build_candidate_index,
     dmatch,
     qmatch_engine,
     qmatch_n_engine,
 )
-from repro.patterns import PatternBuilder
+from repro.matching.dmatch import _local_candidate_pools
+from repro.matching.enumerate import evaluate_positive_by_enumeration
+from repro.patterns import CountingQuantifier, PatternBuilder, QuantifiedGraphPattern
 from repro.utils import MatchingError, WorkCounter
 
 from fixtures import build_q3
+
+
+def social_graph(seed: int, nodes: int = 60, edges: int = 900) -> PropertyGraph:
+    rng = random.Random(seed)
+    graph = PropertyGraph()
+    for index in range(nodes):
+        graph.add_node(f"n{index}", label="person" if index % 3 else "product")
+    for _ in range(edges):
+        a, b = rng.randrange(nodes), rng.randrange(nodes)
+        if a != b:
+            try:
+                graph.add_edge(
+                    f"n{a}",
+                    f"n{b}",
+                    label=rng.choice(["follow", "like", "recom"]),
+                )
+            except Exception:
+                pass
+    return graph
+
+
+def quantified_patterns():
+    quantifier = CountingQuantifier
+    chain = QuantifiedGraphPattern(name="chain")
+    chain.add_node("x", "person")
+    chain.add_node("y", "person")
+    chain.add_node("p", "product")
+    chain.add_edge("x", "y", "follow", quantifier.at_least(2))
+    chain.add_edge("y", "p", "like", quantifier.existential())
+    chain.set_focus("x")
+
+    exact = QuantifiedGraphPattern(name="exact")
+    exact.add_node("x", "person")
+    exact.add_node("z", "person")
+    exact.add_edge("x", "z", "follow", quantifier.exactly(1))
+    exact.set_focus("x")
+
+    ratio = QuantifiedGraphPattern(name="ratio")
+    ratio.add_node("x", "person")
+    ratio.add_node("y", "person")
+    ratio.add_node("p", "product")
+    ratio.add_edge("x", "y", "follow", quantifier.at_least(1))
+    ratio.add_edge("x", "p", "recom", quantifier.ratio_at_least(20.0))
+    ratio.set_focus("x")
+    return [chain, exact, ratio]
+
+
+def counter_fields(counter: WorkCounter):
+    return (counter.verifications, counter.extensions, counter.quantifier_checks)
 
 
 class TestDMatch:
@@ -95,6 +149,84 @@ class TestOptionCombinations:
                 DMatchOptions(use_locality=True),
             ):
                 assert QMatch(options=options).evaluate_answer(pattern, small_pokec) == expected
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_all_option_combinations_match_enumeration_oracle(self, seed):
+        """Every (simulation, potential, locality, early-exit) combination
+        answers like the full-enumeration oracle, and the indexed path
+        replays the dict path in answers, node matches and work counters."""
+        graph = social_graph(seed)
+        for pattern in quantified_patterns():
+            oracle, _ = evaluate_positive_by_enumeration(pattern, graph)
+            for sim, pot, loc, early in itertools.product((False, True), repeat=4):
+                outcomes = []
+                for use_index in (True, False):
+                    options = DMatchOptions(
+                        use_simulation=sim,
+                        use_potential=pot,
+                        use_locality=loc,
+                        early_exit=early,
+                        use_index=use_index,
+                    )
+                    counter = WorkCounter()
+                    outcome = dmatch(pattern, graph, options=options, counter=counter)
+                    outcomes.append(
+                        (outcome.answer, outcome.node_matches, counter_fields(counter))
+                    )
+                label = (pattern.name, sim, pot, loc, early)
+                assert outcomes[0][0] == oracle, label
+                assert outcomes[0] == outcomes[1], label
+
+    def test_focus_restriction_shapes_identical(self):
+        """The no-copy ``intersection_update`` accepts any iterable
+        restriction — set, frozenset, tuple, list — with identical results
+        (no ``& set(...)`` throwaway copies)."""
+        graph = social_graph(11)
+        pattern = quantified_patterns()[0]
+        unrestricted = dmatch(pattern, graph).answer
+        some = sorted(unrestricted)[: max(1, len(unrestricted) // 2)]
+        expected = unrestricted & set(some)
+        for shape in (set(some), frozenset(some), tuple(some), list(some)):
+            outcome = dmatch(pattern, graph, focus_restriction=shape)
+            assert outcome.answer == expected
+
+    def test_tiny_graph_locality_matches_oracle(self):
+        """A focus candidate whose ball leaves some local pool empty is a
+        definite non-match, exactly as the oracle decides."""
+        graph = PropertyGraph()
+        graph.add_node("a", label="person")
+        graph.add_node("b", label="person")
+        graph.add_node("p", label="product")
+        graph.add_edge("a", "b", label="follow")
+        graph.add_edge("b", "p", label="like")
+        pattern = quantified_patterns()[0]
+        oracle, _ = evaluate_positive_by_enumeration(pattern, graph)
+        for use_locality in (False, True):
+            options = DMatchOptions(use_locality=use_locality)
+            assert dmatch(pattern, graph, options=options).answer == oracle
+
+
+class TestLocalCandidatePools:
+    def test_hoisted_pools_equal_naive_restriction(self):
+        graph = social_graph(13)
+        pattern = quantified_patterns()[0].stratified()
+        index = build_candidate_index(pattern, graph)
+        rng = random.Random(0)
+        all_nodes = list(graph.nodes())
+        label_members = {}
+        for node in pattern.nodes():
+            label = pattern.node_label(node)
+            if label not in label_members:
+                members = graph.nodes_with_label(label)
+                label_members[label] = (members, len(members))
+        for _ in range(20):
+            local_nodes = set(rng.sample(all_nodes, rng.randrange(1, len(all_nodes))))
+            hoisted = _local_candidate_pools(pattern, index, local_nodes, label_members)
+            naive = {
+                node: index.candidate_set(node) & local_nodes
+                for node in pattern.nodes()
+            }
+            assert hoisted == naive
 
 
 class TestQMatchDriver:

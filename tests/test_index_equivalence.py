@@ -70,13 +70,11 @@ class TestMatcherEquivalence:
         The deterministic candidate ordering shared by both enumeration paths
         makes even the early-exit extension counts match exactly, so this
         asserts the full counter tuple — not just the answer — across the
-        fully indexed engine, the enumeration-only ablation and the dict
-        fallback.
+        fully indexed engine and the dict fallback.
         """
         outcomes = {}
         for mode, options in (
             ("indexed", DMatchOptions()),
-            ("enum-ablation", DMatchOptions(use_index_enumeration=False)),
             ("fallback", DMatchOptions(use_index=False)),
         ):
             result = QMatch(options=options).evaluate(pattern, graph)
@@ -88,7 +86,7 @@ class TestMatcherEquivalence:
                 result.counter.quantifier_checks,
                 result.counter.candidates_pruned,
             )
-        assert outcomes["indexed"] == outcomes["enum-ablation"] == outcomes["fallback"]
+        assert outcomes["indexed"] == outcomes["fallback"]
 
     def test_isomorphism_streams_identical_in_order(self, name, graph, pattern):
         """The two enumeration paths yield the same assignments in the same order."""

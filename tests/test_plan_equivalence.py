@@ -29,7 +29,7 @@ OPTION_COMBOS = [
     DMatchOptions(use_simulation=False, use_potential=False),
     DMatchOptions(use_simulation=False, use_potential=False, early_exit=False,
                   use_locality=False),
-    DMatchOptions(use_index=False, use_index_enumeration=False),
+    DMatchOptions(use_index=False),
 ]
 
 
@@ -52,8 +52,14 @@ def assert_byte_identical(pattern, graph, options, plan=None, binding=None):
 def test_planned_qmatch_is_byte_identical(graph, pattern):
     form = canonicalize(pattern)
     plan = compile_plan(pattern, fingerprint=form.fingerprint, form=form)
-    for options in OPTION_COMBOS:
+    results = [
         assert_byte_identical(pattern, graph, options, plan=plan, binding=form.order)
+        for options in OPTION_COMBOS
+    ]
+    # The first and last combos differ only in ``use_index``: the indexed
+    # path must replay the dict path in answers and every work counter.
+    assert results[0].answer == results[-1].answer
+    assert results[0].counter.__dict__ == results[-1].counter.__dict__
 
 
 @given(graph=labeled_graphs(), pattern=quantified_patterns())

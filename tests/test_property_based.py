@@ -155,11 +155,12 @@ def test_indexed_enumeration_is_byte_identical(graph, pattern):
     assert list(find_isomorphisms(skeleton, graph, limit=100, use_index=True)) == list(
         find_isomorphisms(skeleton, graph, limit=100, use_index=False)
     )
-    indexed = QMatch(options=DMatchOptions(use_index_enumeration=True)).evaluate(pattern, graph)
-    fallback = QMatch(options=DMatchOptions(use_index_enumeration=False)).evaluate(pattern, graph)
+    indexed = QMatch(options=DMatchOptions(use_index=True)).evaluate(pattern, graph)
+    fallback = QMatch(options=DMatchOptions(use_index=False)).evaluate(pattern, graph)
     assert indexed.answer == fallback.answer
     assert indexed.counter.extensions == fallback.counter.extensions
     assert indexed.counter.verifications == fallback.counter.verifications
+    assert indexed.counter.quantifier_checks == fallback.counter.quantifier_checks
 
 
 @given(graph=labeled_graphs())
