@@ -15,11 +15,13 @@ Everything here is a plain function (no pytest dependency); the fixtures in
 
 from __future__ import annotations
 
+import random
 import threading
 from typing import Callable, List, Optional, Sequence
 
 from repro.graph import PropertyGraph
-from repro.patterns import CountingQuantifier, PatternBuilder
+from repro.patterns import CountingQuantifier, PatternBuilder, QuantifiedGraphPattern
+from repro.utils import WorkCounter
 
 __all__ = [
     "build_paper_g1",
@@ -29,6 +31,9 @@ __all__ = [
     "build_q4",
     "build_triangle",
     "quantifier",
+    "social_graph",
+    "quantified_patterns",
+    "counter_fields",
     "FakeClock",
     "ThreadHarness",
     "run_threads",
@@ -166,6 +171,64 @@ def build_triangle() -> PropertyGraph:
 def quantifier(op: str, value, is_ratio: bool = False) -> CountingQuantifier:
     """Terse quantifier constructor used by a few parametrized tests."""
     return CountingQuantifier(op, value, is_ratio)
+
+
+# --------------------------------------------------------------------------
+# A random social graph and quantified patterns over it (equivalence suites)
+# --------------------------------------------------------------------------
+
+
+def social_graph(seed: int, nodes: int = 60, edges: int = 900) -> PropertyGraph:
+    """A dense random person/product graph with follow/like/recom edges."""
+    rng = random.Random(seed)
+    graph = PropertyGraph()
+    for index in range(nodes):
+        graph.add_node(f"n{index}", label="person" if index % 3 else "product")
+    for _ in range(edges):
+        a, b = rng.randrange(nodes), rng.randrange(nodes)
+        if a != b:
+            try:
+                graph.add_edge(
+                    f"n{a}",
+                    f"n{b}",
+                    label=rng.choice(["follow", "like", "recom"]),
+                )
+            except Exception:
+                pass
+    return graph
+
+
+def quantified_patterns():
+    """Three positive QGPs over :func:`social_graph`: a chain with a numeric
+    quantifier, an exact count and a ratio quantifier."""
+    quantifier = CountingQuantifier
+    chain = QuantifiedGraphPattern(name="chain")
+    chain.add_node("x", "person")
+    chain.add_node("y", "person")
+    chain.add_node("p", "product")
+    chain.add_edge("x", "y", "follow", quantifier.at_least(2))
+    chain.add_edge("y", "p", "like", quantifier.existential())
+    chain.set_focus("x")
+
+    exact = QuantifiedGraphPattern(name="exact")
+    exact.add_node("x", "person")
+    exact.add_node("z", "person")
+    exact.add_edge("x", "z", "follow", quantifier.exactly(1))
+    exact.set_focus("x")
+
+    ratio = QuantifiedGraphPattern(name="ratio")
+    ratio.add_node("x", "person")
+    ratio.add_node("y", "person")
+    ratio.add_node("p", "product")
+    ratio.add_edge("x", "y", "follow", quantifier.at_least(1))
+    ratio.add_edge("x", "p", "recom", quantifier.ratio_at_least(20.0))
+    ratio.set_focus("x")
+    return [chain, exact, ratio]
+
+
+def counter_fields(counter: WorkCounter):
+    """The enumeration work fields two equivalent paths must agree on."""
+    return (counter.verifications, counter.extensions, counter.quantifier_checks)
 
 
 # --------------------------------------------------------------------------

@@ -19,59 +19,10 @@ from repro.matching import (
 )
 from repro.matching.dmatch import _local_candidate_pools
 from repro.matching.enumerate import evaluate_positive_by_enumeration
-from repro.patterns import CountingQuantifier, PatternBuilder, QuantifiedGraphPattern
+from repro.patterns import PatternBuilder
 from repro.utils import MatchingError, WorkCounter
 
-from fixtures import build_q3
-
-
-def social_graph(seed: int, nodes: int = 60, edges: int = 900) -> PropertyGraph:
-    rng = random.Random(seed)
-    graph = PropertyGraph()
-    for index in range(nodes):
-        graph.add_node(f"n{index}", label="person" if index % 3 else "product")
-    for _ in range(edges):
-        a, b = rng.randrange(nodes), rng.randrange(nodes)
-        if a != b:
-            try:
-                graph.add_edge(
-                    f"n{a}",
-                    f"n{b}",
-                    label=rng.choice(["follow", "like", "recom"]),
-                )
-            except Exception:
-                pass
-    return graph
-
-
-def quantified_patterns():
-    quantifier = CountingQuantifier
-    chain = QuantifiedGraphPattern(name="chain")
-    chain.add_node("x", "person")
-    chain.add_node("y", "person")
-    chain.add_node("p", "product")
-    chain.add_edge("x", "y", "follow", quantifier.at_least(2))
-    chain.add_edge("y", "p", "like", quantifier.existential())
-    chain.set_focus("x")
-
-    exact = QuantifiedGraphPattern(name="exact")
-    exact.add_node("x", "person")
-    exact.add_node("z", "person")
-    exact.add_edge("x", "z", "follow", quantifier.exactly(1))
-    exact.set_focus("x")
-
-    ratio = QuantifiedGraphPattern(name="ratio")
-    ratio.add_node("x", "person")
-    ratio.add_node("y", "person")
-    ratio.add_node("p", "product")
-    ratio.add_edge("x", "y", "follow", quantifier.at_least(1))
-    ratio.add_edge("x", "p", "recom", quantifier.ratio_at_least(20.0))
-    ratio.set_focus("x")
-    return [chain, exact, ratio]
-
-
-def counter_fields(counter: WorkCounter):
-    return (counter.verifications, counter.extensions, counter.quantifier_checks)
+from fixtures import build_q3, counter_fields, quantified_patterns, social_graph
 
 
 class TestDMatch:
@@ -150,7 +101,7 @@ class TestOptionCombinations:
             ):
                 assert QMatch(options=options).evaluate_answer(pattern, small_pokec) == expected
 
-    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
     def test_all_option_combinations_match_enumeration_oracle(self, seed):
         """Every (simulation, potential, locality, early-exit) combination
         answers like the full-enumeration oracle, and the indexed path
